@@ -18,6 +18,7 @@ RACE_PKGS := ./internal/parallel/ \
 	./internal/shard/ \
 	./internal/obs/ \
 	./internal/source/ \
+	./internal/socialnet/ \
 	.
 
 METRICS_COVER_MIN := 90

@@ -263,16 +263,19 @@ func (m *Monitor) Rotate(now time.Time, period time.Duration) {
 			q.Exclude = m.used
 		}
 		accounts := m.screener.Screen(q, now)
+		m.ins.screensActive.Inc()
 		if m.cfg.ActiveOnly && len(accounts) < g.Spec.Nodes {
 			// Too few active candidates (e.g. cold start): fall back
 			// to dormant accounts to fill the budget.
 			q.ActiveOnly = false
 			accounts = m.screener.Screen(q, now)
+			m.ins.screensDormant.Inc()
 		}
 		if !m.cfg.ReuseNodes && len(accounts) < g.Spec.Nodes {
 			// Exclusion exhausted the candidate pool: allow reuse.
 			q.Exclude = nil
 			accounts = m.screener.Screen(q, now)
+			m.ins.screensReuse.Inc()
 		}
 		for _, a := range accounts {
 			m.nodes[a.ID] = append(m.nodes[a.ID], gi)

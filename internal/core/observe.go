@@ -16,6 +16,12 @@ type monitorInstruments struct {
 	rotations      *metrics.Counter
 	rotationSecs   *metrics.Histogram
 	nodes          *metrics.Gauge
+	// Screener calls per Rotate pass: every group's first screen
+	// ("active"), the dormant fallback and the exclusion-lifting reuse
+	// fallback.
+	screensActive  *metrics.Counter
+	screensDormant *metrics.Counter
+	screensReuse   *metrics.Counter
 
 	groupTweets    []*metrics.Counter
 	groupNodeHours []*metrics.Counter
@@ -35,6 +41,11 @@ func newMonitorInstruments(r *metrics.Registry, groups []*GroupStats) *monitorIn
 		nodes: r.Gauge("ph_monitor_nodes",
 			"Currently harnessed pseudo-honeypot accounts."),
 	}
+	screens := r.CounterVec("ph_monitor_screens_total",
+		"Screener calls made by node rotation, by pass: every group's first screen (active), the dormant fallback, and the reuse fallback once exclusion exhausts the candidates.", "pass")
+	ins.screensActive = screens.With("active")
+	ins.screensDormant = screens.With("dormant")
+	ins.screensReuse = screens.With("reuse")
 	tweets := r.CounterVec("ph_monitor_group_tweets_total",
 		"Tweets attributed to a selector group.", "selector")
 	hours := r.CounterVec("ph_monitor_group_node_hours_total",

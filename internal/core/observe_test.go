@@ -150,3 +150,53 @@ func approxEq(a, b float64) bool {
 	d := a - b
 	return d < 1e-9 && d > -1e-9
 }
+
+// countingScreener counts the calls it forwards to the world.
+type countingScreener struct {
+	inner Screener
+	calls int
+}
+
+func (s *countingScreener) Screen(q socialnet.ScreenQuery, now time.Time) []*socialnet.Account {
+	s.calls++
+	return s.inner.Screen(q, now)
+}
+
+// TestScreensCounterMatchesScreenerCalls ties ph_monitor_screens_total to
+// the screener's own call count: the passes sum to every call, the active
+// pass runs once per group per rotation, and a small world drives both
+// fallbacks (cold-start dormant fill, then exclusion exhaustion).
+func TestScreensCounterMatchesScreenerCalls(t *testing.T) {
+	reg := metrics.NewRegistry()
+	cfg := socialnet.DefaultConfig()
+	cfg.NumAccounts = 600
+	cfg.OrganicTweetsPerHour = 200
+	w, err := socialnet.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := socialnet.NewEngine(w)
+	scr := &countingScreener{inner: &LocalScreener{World: w, Rng: rand.New(rand.NewSource(2))}}
+	m := NewMonitor(MonitorConfig{
+		Specs:      StandardSpecs(1),
+		ActiveOnly: true,
+		Seed:       1,
+		Metrics:    reg,
+	}, scr)
+	defer Attach(m, e)()
+	e.RunHours(8)
+
+	screens := reg.CounterVec("ph_monitor_screens_total", "", "pass")
+	active := screens.With("active").Value()
+	dormant := screens.With("dormant").Value()
+	reuse := screens.With("reuse").Value()
+	if got := active + dormant + reuse; got != float64(scr.calls) {
+		t.Fatalf("screens counter sums to %v, screener saw %d calls", got, scr.calls)
+	}
+	if want := float64(len(m.Groups()) * m.Rotations()); active != want {
+		t.Fatalf(`screens{pass="active"} = %v, want groups × rotations = %v`, active, want)
+	}
+	if dormant == 0 || reuse == 0 {
+		t.Fatalf("fallback passes not exercised: dormant %v, reuse %v", dormant, reuse)
+	}
+}

@@ -140,6 +140,9 @@ func (e *Engine) runHour() {
 	for _, hook := range e.hourHooks {
 		hook(e.hour, now)
 	}
+	// Hooks (node rotation) screened the world as it stood at the hour
+	// boundary; everything below mutates accounts.
+	e.world.advanceEpoch()
 
 	e.world.trends.Step()
 	e.decayActivity()

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"sync"
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/imagehash"
@@ -23,6 +23,11 @@ type World struct {
 	campaigns []*Campaign
 	trends    *TrendSet
 	start     time.Time
+
+	// screenMu guards snap, the screening snapshot of the current world
+	// epoch (see Screen); nil until the epoch's first Screen.
+	screenMu sync.Mutex
+	snap     *screenSnapshot
 }
 
 // NewWorld generates a world from cfg. Generation is deterministic in
@@ -82,6 +87,7 @@ func (w *World) ByScreenName(name string) *Account {
 // honeypot) and returns its assigned id. The account joins the world's
 // population and becomes targetable by spammers on the next engine hour.
 func (w *World) AddAccount(a *Account) AccountID {
+	w.advanceEpoch()
 	id := AccountID(len(w.byID) + 1)
 	for {
 		if _, taken := w.byID[id]; !taken {
@@ -361,6 +367,7 @@ func (w *World) AdvanceSuspensions(hours float64, rng *rand.Rand) int {
 	if hours <= 0 {
 		return 0
 	}
+	w.advanceEpoch()
 	pSpam := 1 - math.Pow(1-w.cfg.SuspensionRatePerHour, hours)
 	pFalse := 1 - math.Pow(1-w.cfg.FalseSuspensionRatePerHour, hours)
 	n := 0
@@ -548,15 +555,4 @@ func clampF(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// SortByAttr returns account indices sorted by the given numeric attribute
-// evaluated at instant now. The screener uses this to binary-search sample
-// values.
-func (w *World) SortByAttr(attr func(*Account, time.Time) float64, now time.Time) []*Account {
-	sorted := append([]*Account(nil), w.accounts...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return attr(sorted[i], now) < attr(sorted[j], now)
-	})
-	return sorted
 }

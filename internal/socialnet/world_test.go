@@ -385,18 +385,3 @@ func TestKindStrings(t *testing.T) {
 		t.Fatal("Source.String wrong")
 	}
 }
-
-func TestSortByAttr(t *testing.T) {
-	w := newTestWorld(t)
-	now := simclock.Epoch
-	followers := func(a *Account, _ time.Time) float64 { return float64(a.FollowersCount) }
-	sorted := w.SortByAttr(followers, now)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1].FollowersCount > sorted[i].FollowersCount {
-			t.Fatal("SortByAttr result not sorted")
-		}
-	}
-	if len(sorted) != w.NumAccounts() {
-		t.Fatal("SortByAttr dropped accounts")
-	}
-}

@@ -396,3 +396,45 @@ func TestEncodeTweetMentions(t *testing.T) {
 		t.Fatal("oracle fields in non-oracle encode")
 	}
 }
+
+// TestUsersSearchConcurrentWithAdvance issues user searches from several
+// goroutines while the server's engine runs hours: the world's screening
+// snapshot is built by searches and dropped by the engine, so under -race
+// this checks the server keeps the two apart.
+func TestUsersSearchConcurrentWithAdvance(t *testing.T) {
+	_, client := newTestServer(t)
+	queries := []SearchQuery{
+		{Attr: "followers_count", Value: 150, Count: 5},
+		{Attr: "statuses_per_day", Value: 1, Count: 5, ActiveOnly: true},
+		{Attr: "hashtag", Category: "social", Count: 5},
+		{Attr: "random", Count: 5},
+	}
+	ctx := context.Background()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, q := range queries {
+		wg.Add(1)
+		go func(q SearchQuery) {
+			defer wg.Done()
+			for {
+				if _, err := client.UsersSearch(ctx, q); err != nil {
+					t.Errorf("UsersSearch(%s): %v", q.Attr, err)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(q)
+	}
+	for h := 0; h < 3; h++ {
+		if _, err := client.Advance(ctx, 1); err != nil {
+			t.Errorf("Advance: %v", err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+}
